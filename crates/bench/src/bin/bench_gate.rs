@@ -204,7 +204,7 @@ fn main() -> ExitCode {
         .keys()
         .filter(|k| direction(k).is_some() && !baseline.contains_key(*k))
     {
-        println!("{key:<28} (no baseline — add it to ci/bench_baseline.json)");
+        println!("{key:<28} (informational: no baseline in ci/bench_baseline.json)");
     }
     let failures = rows.iter().filter(|r| !r.ok).count();
     write_step_summary(&rows, factor, inject, failures);

@@ -47,7 +47,8 @@ fn timed_build(ds: &Dataset, threads: usize) -> (IndexBundle, Duration, Duration
 
 /// Runs the sweep. Returns the rendered report and the JSON metrics
 /// for `BENCH_build.json` (`build_<dataset>_1t_ms` are the gated
-/// keys; `speedup_<dataset>_4t` are informational).
+/// keys; `hierarchy_<dataset>_1t_ms`, the Algo. 1 hierarchy's share
+/// of the serial build, and `speedup_<dataset>_4t` are informational).
 pub fn run(scale: usize) -> (String, Vec<(String, f64)>) {
     let mut out = String::from("parallel construction scaling (hierarchy + per-layer indexes)\n");
     let mut metrics: Vec<(String, f64)> = Vec::new();
@@ -76,6 +77,10 @@ pub fn run(scale: usize) -> (String, Vec<(String, f64)>) {
             let (identical, speedup) = match &serial {
                 None => {
                     metrics.push((format!("build_{short}_1t_ms"), elapsed.as_millis() as f64));
+                    metrics.push((
+                        format!("hierarchy_{short}_1t_ms"),
+                        hierarchy.as_millis() as f64,
+                    ));
                     serial = Some((bundle, bytes, elapsed));
                     (true, 1.0)
                 }
@@ -126,6 +131,7 @@ mod tests {
         let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
         assert!(keys.contains(&"build_synt_1t_ms"));
         assert!(keys.contains(&"build_yago_1t_ms"));
+        assert!(keys.contains(&"hierarchy_synt_1t_ms"));
         assert!(metrics.iter().all(|(_, v)| v.is_finite() && *v >= 0.0));
     }
 }

@@ -10,7 +10,7 @@ use crate::config::GenConfig;
 use bgi_bisim::{maximal_bisimulation, summarize, BisimDirection};
 use bgi_graph::sampling::{sample_subgraphs_threaded, SamplingParams};
 use bgi_graph::subgraph::InducedSubgraph;
-use bgi_graph::DiGraph;
+use bgi_graph::{DiGraph, LabelId};
 
 /// Exact compression ratio of applying `χ(·, C)` to `g`.
 pub fn exact_compress(g: &DiGraph, config: &GenConfig, dir: BisimDirection) -> f64 {
@@ -26,9 +26,18 @@ pub fn exact_compress(g: &DiGraph, config: &GenConfig, dir: BisimDirection) -> f
 /// Pre-drawn samples for repeated estimation against many candidate
 /// configurations (Algo. 1 evaluates hundreds of candidates against the
 /// same sample set).
+///
+/// Alongside the samples it keeps a label → samples inverted list.
+/// `C(ℓ)` is one step, so adding a mapping `(ℓ → ℓ')` to a
+/// configuration relabels only the vertices labelled `ℓ`: every sample
+/// outside `samples_with(ℓ)` keeps its `summary_size`, which is what
+/// lets Algo. 1 re-bisimulate only the samples a candidate touches.
 #[derive(Debug)]
 pub struct CompressEstimator {
     samples: Vec<InducedSubgraph>,
+    /// `samples_by_label[ℓ]`: ascending indices of the samples holding
+    /// a vertex labelled `ℓ`.
+    samples_by_label: Vec<Vec<u32>>,
     alphabet_size: usize,
     dir: BisimDirection,
 }
@@ -51,8 +60,19 @@ impl CompressEstimator {
         dir: BisimDirection,
         threads: usize,
     ) -> Self {
+        let samples = sample_subgraphs_threaded(g, params, threads);
+        // A sample's alphabet ends at its largest label, one of `g`'s.
+        let mut samples_by_label: Vec<Vec<u32>> = vec![Vec::new(); g.alphabet_size()];
+        for (i, s) in samples.iter().enumerate() {
+            for (l, &count) in s.graph.label_counts().iter().enumerate() {
+                if count > 0 {
+                    samples_by_label[l].push(i as u32);
+                }
+            }
+        }
         CompressEstimator {
-            samples: sample_subgraphs_threaded(g, params, threads),
+            samples,
+            samples_by_label,
             alphabet_size: g.alphabet_size(),
             dir,
         }
@@ -63,6 +83,31 @@ impl CompressEstimator {
         self.samples.len()
     }
 
+    /// Ascending indices of the samples that contain a vertex labelled
+    /// `l` (empty for a label no sample holds).
+    pub(crate) fn samples_with(&self, l: LabelId) -> &[u32] {
+        self.samples_by_label
+            .get(l.index())
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// `|s|` of sample `i`.
+    pub(crate) fn sample_size(&self, i: usize) -> usize {
+        self.samples[i].graph.size()
+    }
+
+    /// `|χ(s, C)|` of sample `i`: the size of its maximal-bisimulation
+    /// summary after generalizing it by `config`.
+    pub(crate) fn summary_size(&self, i: usize, config: &GenConfig) -> usize {
+        let s = &self.samples[i].graph;
+        if s.size() == 0 {
+            return 0;
+        }
+        let generalized = s.relabel(&config.label_map(self.alphabet_size));
+        let part = maximal_bisimulation(&generalized, self.dir);
+        summarize(&generalized, &part).graph.size()
+    }
+
     /// Estimated `compress(G, C)` as the pooled ratio
     /// `Σ|χ(s, C)| / Σ|s|` over the samples. Pooling weights each sample
     /// by its size, so the many tiny (often singleton) balls drawn from
@@ -71,15 +116,18 @@ impl CompressEstimator {
     /// configurations, which is all Algo. 1 needs (Exp-4 validates the
     /// ordering with Spearman correlation). Returns 1.0 with no samples.
     pub fn estimate(&self, config: &GenConfig) -> f64 {
-        self.estimate_on(config, self.samples.len())
+        let n = self.samples.len();
+        pooled_ratio(
+            (0..n).map(|i| self.summary_size(i, config)).sum(),
+            (0..n).map(|i| self.sample_size(i)).sum(),
+        )
     }
 
-    /// [`CompressEstimator::estimate`] over only the first
-    /// `max_samples` samples — Algo. 1 ranks hundreds of candidate
-    /// mappings, and a capped estimate keeps the greedy loop linear in
-    /// practice while preserving the candidate *ordering* (what the
-    /// greedy search needs).
-    pub fn estimate_on(&self, config: &GenConfig, max_samples: usize) -> f64 {
+    /// The estimate recomputed from scratch over the first
+    /// `max_samples` samples — the reference the incremental Algo. 1
+    /// is checked against bit for bit.
+    #[cfg(test)]
+    pub(crate) fn estimate_on(&self, config: &GenConfig, max_samples: usize) -> f64 {
         if self.samples.is_empty() || max_samples == 0 {
             return 1.0;
         }
@@ -101,6 +149,18 @@ impl CompressEstimator {
         } else {
             summarized as f64 / original as f64
         }
+    }
+}
+
+/// The pooled ratio `summarized / original` of integer size sums (1.0
+/// when nothing was sampled). Integer sums are order-free, so a sum
+/// patched sample by sample yields the same `f64`, bit for bit, as one
+/// recomputed from scratch.
+pub(crate) fn pooled_ratio(summarized: usize, original: usize) -> f64 {
+    if original == 0 {
+        1.0
+    } else {
+        summarized as f64 / original as f64
     }
 }
 
@@ -194,6 +254,8 @@ mod tests {
         );
         let r = est.estimate(&GenConfig::empty());
         assert!(r > 0.0 && r <= 1.0 + 1e-9, "r = {r}");
+        let from_scratch = est.estimate_on(&GenConfig::empty(), usize::MAX);
+        assert_eq!(r.to_bits(), from_scratch.to_bits());
     }
 
     #[test]
@@ -224,6 +286,31 @@ mod tests {
                 parallel.estimate(&GenConfig::empty()).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn inverted_list_names_exactly_the_samples_holding_each_label() {
+        let g = bgi_graph::generate::uniform_random(300, 500, 12, 4);
+        let est = CompressEstimator::new(
+            &g,
+            &SamplingParams {
+                radius: 1,
+                num_samples: 50,
+                max_ball: 6,
+                seed: 2,
+            },
+            BisimDirection::Forward,
+        );
+        let mut unsampled = 0;
+        for l in (0..g.alphabet_size() as u32 + 2).map(LabelId) {
+            let want: Vec<u32> = (0..est.num_samples() as u32)
+                .filter(|&i| est.samples[i as usize].graph.labels().contains(&l))
+                .collect();
+            assert_eq!(est.samples_with(l), want.as_slice(), "label {l:?}");
+            unsampled += usize::from(want.is_empty());
+        }
+        // The labels past the alphabet are in no sample.
+        assert!(unsampled >= 2);
     }
 
     #[test]

@@ -7,17 +7,16 @@
 //! ascending estimated cost, and accept each whose addition keeps the
 //! combined cost within the threshold `θ`, stopping at the budget `Π`.
 
-use crate::compress::CompressEstimator;
+use crate::compress::{pooled_ratio, CompressEstimator};
 use crate::config::GenConfig;
-use crate::cost::{construction_cost_capped, CostParams};
+use crate::cost::{construction_cost_with_compress, CostParams};
 use bgi_graph::par::par_map;
 use bgi_graph::stats::LabelSupport;
 use bgi_graph::{DiGraph, LabelId, Ontology};
 
-/// Samples used to rank singleton candidates (ordering only).
-const RANK_SAMPLES: usize = 64;
-/// Samples used for the acceptance checks of Algo. 1's loop.
-const ACCEPT_SAMPLES: usize = 64;
+/// Samples Algo. 1 estimates compression on, for ranking and acceptance
+/// alike: the first `SAMPLES` of the estimator's set.
+const SAMPLES: usize = 64;
 
 /// Runs Algo. 1: returns the greedy configuration for one layer.
 ///
@@ -33,13 +32,17 @@ pub fn greedy_configuration(
     greedy_configuration_threaded(g, ontology, estimator, support, params, 1)
 }
 
-/// [`greedy_configuration`] with the candidate-ranking pass — the bulk
-/// of Algo. 1's cost, one compression estimate per `(ℓ → ℓ')` pair —
-/// fanned out over up to `threads` scoped workers.
+/// [`greedy_configuration`] with its compression estimates fanned out
+/// over up to `threads` scoped workers.
 ///
-/// Each candidate's estimated cost is independent of every other's, and
-/// results are collected back in candidate order before the (inherently
-/// sequential) greedy acceptance loop runs, so the returned
+/// The estimates are incremental. Every capped sample is bisimulated
+/// once under the empty configuration; a candidate `(ℓ → ℓ')` then
+/// re-bisimulates only the samples that contain `ℓ`, since `C(ℓ)` is
+/// one step and leaves every other sample's summary as it was. The
+/// acceptance loop keeps the per-sample summary sizes of the accepted
+/// configuration the same way. Each cost is a ratio of the same integer
+/// sums the from-scratch estimate pools, so it is bit-identical to it,
+/// and results are collected in candidate order: the returned
 /// configuration is identical for every thread count.
 pub fn greedy_configuration_threaded(
     g: &DiGraph,
@@ -49,39 +52,86 @@ pub fn greedy_configuration_threaded(
     params: &CostParams,
     threads: usize,
 ) -> GenConfig {
-    // Candidate single-mapping generalizations: every label present in
-    // the graph paired with each of its direct supertypes.
-    let counts = g.label_counts();
+    greedy(g, ontology, estimator, support, params, threads).config
+}
+
+/// Algo. 1's intermediate results. Only the configuration leaves the
+/// module; the costs are read by the differential test.
+#[derive(Debug)]
+#[cfg_attr(not(test), allow(dead_code))]
+struct Greedy {
+    /// Candidates `(cost, ℓ, ℓ')` in priority order.
+    ranked: Vec<(f64, LabelId, LabelId)>,
+    /// The cost of every acceptance trial, in loop order.
+    trials: Vec<f64>,
+    config: GenConfig,
+}
+
+/// Candidate single-mapping generalizations: every label present in
+/// the graph paired with each of its direct supertypes.
+fn candidate_pairs(g: &DiGraph, ontology: &Ontology) -> Vec<(LabelId, LabelId)> {
     let mut pairs: Vec<(LabelId, LabelId)> = Vec::new();
-    for (i, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
+    for (i, &count) in g.label_counts().iter().enumerate() {
         let l = LabelId(i as u32);
-        if l.index() >= ontology.num_labels() {
+        if count == 0 || l.index() >= ontology.num_labels() {
             continue;
         }
         for &sup in ontology.direct_supertypes(l) {
             pairs.push((l, sup));
         }
     }
-    let costs = par_map(threads, pairs.len(), |i| {
-        let (l, sup) = pairs[i];
-        let single =
-            GenConfig::new([(l, sup)], ontology).expect("direct supertype by construction");
-        construction_cost_capped(estimator, support, &single, params.alpha, RANK_SAMPLES)
+    pairs
+}
+
+fn greedy(
+    g: &DiGraph,
+    ontology: &Ontology,
+    estimator: &CompressEstimator,
+    support: &LabelSupport,
+    params: &CostParams,
+    threads: usize,
+) -> Greedy {
+    let pairs = candidate_pairs(g, ontology);
+    let n = estimator.num_samples().min(SAMPLES);
+    // The capped samples that contain `l` (the list is ascending).
+    let affected = |l: LabelId| {
+        let all = estimator.samples_with(l);
+        &all[..all.partition_point(|&i| (i as usize) < n)]
+    };
+    let original: usize = (0..n).map(|i| estimator.sample_size(i)).sum();
+    let empty = GenConfig::empty();
+    let mut sizes = par_map(threads, n, |i| estimator.summary_size(i, &empty));
+    let mut summarized: usize = sizes.iter().sum();
+    let cost = |summarized: usize, config: &GenConfig| {
+        construction_cost_with_compress(
+            pooled_ratio(summarized, original),
+            support,
+            config,
+            params.alpha,
+        )
+    };
+
+    let costs = par_map(threads, pairs.len(), |k| {
+        let (l, sup) = pairs[k];
+        let mut single = GenConfig::empty();
+        single.insert(l, sup);
+        let patched = affected(l).iter().fold(summarized, |sum, &i| {
+            sum - sizes[i as usize] + estimator.summary_size(i as usize, &single)
+        });
+        cost(patched, &single)
     });
-    let mut candidates: Vec<(f64, LabelId, LabelId)> = costs
+    let mut ranked: Vec<(f64, LabelId, LabelId)> = costs
         .into_iter()
         .zip(&pairs)
         .map(|(cost, &(l, sup))| (cost, l, sup))
         .collect();
     // Priority order: ascending estimated cost (ties by label for
     // determinism).
-    candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
+    let mut trials = Vec::new();
     let mut config = GenConfig::empty();
-    for (_, l, sup) in candidates {
+    for &(_, l, sup) in &ranked {
         if config.len() >= params.pi {
             break;
         }
@@ -92,24 +142,247 @@ pub fn greedy_configuration_threaded(
         }
         let mut trial = config.clone();
         trial.insert(l, sup);
-        let cost =
-            construction_cost_capped(estimator, support, &trial, params.alpha, ACCEPT_SAMPLES);
-        if cost <= params.theta {
-            config = trial;
-        } else {
+        let touched = affected(l);
+        let fresh = par_map(threads, touched.len(), |k| {
+            estimator.summary_size(touched[k] as usize, &trial)
+        });
+        let patched = touched
+            .iter()
+            .zip(&fresh)
+            .fold(summarized, |sum, (&i, &size)| {
+                sum - sizes[i as usize] + size
+            });
+        let trial_cost = cost(patched, &trial);
+        trials.push(trial_cost);
+        if trial_cost > params.theta {
             // Algo. 1 returns as soon as a candidate overshoots θ.
-            return config;
+            break;
         }
+        for (&i, size) in touched.iter().zip(fresh) {
+            sizes[i as usize] = size;
+        }
+        summarized = patched;
+        config = trial;
     }
-    config
+    Greedy {
+        ranked,
+        trials,
+        config,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distort::graph_distortion;
     use bgi_bisim::BisimDirection;
     use bgi_graph::sampling::SamplingParams;
-    use bgi_graph::{GraphBuilder, OntologyBuilder};
+    use bgi_graph::{GraphBuilder, OntologyBuilder, VId};
+    use proptest::prelude::*;
+
+    /// Algo. 1 as it ran before the estimates became incremental: every
+    /// candidate and every trial re-estimated from scratch on the
+    /// capped samples, serially.
+    fn reference(
+        g: &DiGraph,
+        ontology: &Ontology,
+        estimator: &CompressEstimator,
+        support: &LabelSupport,
+        params: &CostParams,
+    ) -> Greedy {
+        let cost = |config: &GenConfig| {
+            params.alpha * estimator.estimate_on(config, SAMPLES)
+                + (1.0 - params.alpha) * graph_distortion(config, support)
+        };
+        let mut ranked: Vec<(f64, LabelId, LabelId)> = candidate_pairs(g, ontology)
+            .into_iter()
+            .map(|(l, sup)| {
+                let single = GenConfig::new([(l, sup)], ontology).unwrap();
+                (cost(&single), l, sup)
+            })
+            .collect();
+        ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        let mut trials = Vec::new();
+        let mut config = GenConfig::empty();
+        for &(_, l, sup) in &ranked {
+            if config.len() >= params.pi {
+                break;
+            }
+            if config.apply(l) != l {
+                continue;
+            }
+            let mut trial = config.clone();
+            trial.insert(l, sup);
+            let c = cost(&trial);
+            trials.push(c);
+            if c > params.theta {
+                break;
+            }
+            config = trial;
+        }
+        Greedy {
+            ranked,
+            trials,
+            config,
+        }
+    }
+
+    fn bits(costs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        costs.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Runs the incremental Algo. 1 at 1, 2 and 4 threads and checks
+    /// every candidate cost, every trial cost (by `to_bits`) and the
+    /// configuration against the from-scratch reference, which it
+    /// returns.
+    fn assert_matches_reference(
+        g: &DiGraph,
+        ontology: &Ontology,
+        estimator: &CompressEstimator,
+        params: &CostParams,
+    ) -> Greedy {
+        let support = LabelSupport::new(g);
+        let want = reference(g, ontology, estimator, &support, params);
+        for threads in [1usize, 2, 4] {
+            let got = greedy(g, ontology, estimator, &support, params, threads);
+            let labels = |r: &Greedy| r.ranked.iter().map(|c| (c.1, c.2)).collect::<Vec<_>>();
+            assert_eq!(labels(&got), labels(&want), "{threads} threads");
+            assert_eq!(
+                bits(got.ranked.iter().map(|c| c.0)),
+                bits(want.ranked.iter().map(|c| c.0)),
+                "{threads} threads"
+            );
+            assert_eq!(
+                bits(got.trials),
+                bits(want.trials.iter().copied()),
+                "{threads} threads"
+            );
+            assert_eq!(got.config, want.config, "{threads} threads");
+        }
+        want
+    }
+
+    fn sampled(g: &DiGraph, radius: u32, num_samples: usize, max_ball: usize) -> CompressEstimator {
+        CompressEstimator::new(
+            g,
+            &SamplingParams {
+                radius,
+                num_samples,
+                max_ball,
+                seed: 1,
+            },
+            BisimDirection::Forward,
+        )
+    }
+
+    /// Graph labels `0..8` under a 12-label ontology whose edges run
+    /// from the higher id down (so it is a DAG, with several supertypes
+    /// per label and supertypes no vertex carries).
+    fn small_ontology(edges: &[(u32, u32)]) -> Ontology {
+        let mut b = OntologyBuilder::new(12);
+        for &(a, c) in edges {
+            if a != c {
+                b.add_subtype(LabelId(a.max(c)), LabelId(a.min(c)));
+            }
+        }
+        b.build().unwrap()
+    }
+
+    prop_compose! {
+        /// A graph of up to 40 vertices, an ontology over its labels,
+        /// and an estimator that may draw none, few, or more samples
+        /// than Algo. 1 reads.
+        fn arb_instance()(
+            n in 0usize..40,
+            edges in proptest::collection::vec((0usize..40, 0usize..40), 0..100),
+            labels in proptest::collection::vec(0u32..8, 40),
+            ont_edges in proptest::collection::vec((0u32..12, 0u32..12), 0..16),
+            sampling in (0u32..3, 0usize..80, 1usize..24),
+        ) -> (DiGraph, Ontology, CompressEstimator) {
+            let mut b = GraphBuilder::new();
+            for &l in labels.iter().take(n) {
+                b.add_vertex(LabelId(l));
+            }
+            for (u, v) in edges {
+                if u < n && v < n {
+                    b.add_edge(VId(u as u32), VId(v as u32));
+                }
+            }
+            let g = b.build();
+            let est = sampled(&g, sampling.0, sampling.1, sampling.2);
+            (g, small_ontology(&ont_edges), est)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn incremental_algo1_matches_from_scratch(
+            instance in arb_instance(),
+            alpha in 0.0f64..=1.0,
+            theta in 0.0f64..1.2,
+            pi in 0usize..6,
+        ) {
+            let (g, o, est) = instance;
+            let params = CostParams {
+                alpha,
+                theta,
+                pi: if pi == 5 { usize::MAX } else { pi },
+            };
+            assert_matches_reference(&g, &o, &est, &params);
+        }
+    }
+
+    #[test]
+    fn incremental_matches_reference_without_samples() {
+        let (g, o) = setup();
+        let est = sampled(&g, 2, 0, 256);
+        assert_eq!(est.num_samples(), 0);
+        let run = assert_matches_reference(&g, &o, &est, &CostParams::default());
+        assert!(!run.ranked.is_empty());
+    }
+
+    #[test]
+    fn incremental_matches_reference_for_unsampled_labels() {
+        // One one-vertex ball: at most one candidate label is sampled.
+        let (g, o) = setup();
+        let est = sampled(&g, 0, 1, 1);
+        let unsampled = candidate_pairs(&g, &o)
+            .iter()
+            .filter(|&&(l, _)| est.samples_with(l).is_empty())
+            .count();
+        assert!(unsampled > 0);
+        assert_matches_reference(&g, &o, &est, &CostParams::default());
+    }
+
+    #[test]
+    fn incremental_matches_reference_under_pi_cap() {
+        let (g, o) = setup();
+        let est = estimator(&g);
+        let params = CostParams {
+            pi: 1,
+            ..CostParams::default()
+        };
+        let run = assert_matches_reference(&g, &o, &est, &params);
+        assert_eq!(run.config.len(), 1);
+    }
+
+    #[test]
+    fn incremental_matches_reference_on_theta_overshoot() {
+        // θ set to the first trial's cost accepts that mapping, then the
+        // loop must stop on the first trial that costs more.
+        let (g, o) = setup();
+        let est = estimator(&g);
+        let free = reference(&g, &o, &est, &LabelSupport::new(&g), &CostParams::default());
+        let params = CostParams {
+            theta: free.trials[0],
+            ..CostParams::default()
+        };
+        let run = assert_matches_reference(&g, &o, &est, &params);
+        assert!(!run.config.is_empty());
+        assert!(run.trials.last().is_some_and(|&c| c > params.theta));
+    }
 
     /// Two person subtypes pointing at a hub; generalizing them enables
     /// compression.
@@ -130,16 +403,7 @@ mod tests {
     }
 
     fn estimator(g: &DiGraph) -> CompressEstimator {
-        CompressEstimator::new(
-            g,
-            &SamplingParams {
-                radius: 2,
-                num_samples: 40,
-                max_ball: 256,
-                seed: 1,
-            },
-            BisimDirection::Forward,
-        )
+        sampled(g, 2, 40, 256)
     }
 
     #[test]
